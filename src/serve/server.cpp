@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -72,6 +73,22 @@ void append_error(std::vector<std::uint8_t>& out, Op op,
   append_response(out, header,
                   {reinterpret_cast<const std::uint8_t*>(message.data()),
                    message.size()});
+}
+
+// How a client narrows a request whose reply would exceed the frame cap.
+std::string_view narrowing_hint(Op op) noexcept {
+  switch (op) {
+    case Op::kPlan:
+      return "set max_addresses, or ask for reduce instead";
+    case Op::kReduce:
+      return "set max_addresses or raise max_overshoot";
+    case Op::kSample:
+      return "lower phi or the budget";
+    case Op::kRank:
+      return "ask for fewer rows";
+    default:
+      return "split the address batch";
+  }
 }
 
 // Reads one batch of raw addresses off the request cursor in the
@@ -585,29 +602,46 @@ void Server::handle_query(std::size_t shard, const RequestHeader& request,
     }
     case Op::kTally: {
       const auto addresses = read_addresses<Family>(cursor, request.count);
-      auto& counts =
-          Family::kFamily == net::AddressFamily::kIpv6
-              ? scratch_[shard].counts6
-              : scratch_[shard].counts4;
-      // The scratch vector is all-zero between requests; resizing keeps
-      // that invariant (shrink drops zeros, grow appends zeros), so one
-      // tally pays only for the cells it touches.
-      if (counts.size() != image.partition().size()) {
-        counts.resize(image.partition().size(), 0);
+      auto& scratch = Family::kFamily == net::AddressFamily::kIpv6
+                          ? scratch_[shard].v6
+                          : scratch_[shard].v4;
+      auto& counts = scratch.counts;
+      auto& touched = scratch.touched;
+      // Both arrays are all-zero between requests; resizing keeps that
+      // invariant (shrink drops zeros, grow appends zeros).
+      const std::size_t cell_count = image.partition().size();
+      if (counts.size() != cell_count) {
+        counts.resize(cell_count, 0);
+        touched.resize((cell_count + 63) / 64, 0);
       }
+      scratch.cells.resize(addresses.size());
+      image.partition().locate_many(addresses, scratch.cells);
+      // Reserve the largest possible reply up front: nothing between
+      // marking and re-zeroing may throw, or the scratch would stay
+      // dirty for the next request.
+      body.reserve(16 + 8 * std::min(addresses.size(), cell_count));
       std::uint64_t attributed = 0;
-      std::uint64_t unattributed = 0;
-      image.partition().tally_cells(std::span(addresses), counts,
-                                    attributed, unattributed);
-      put_u64(body, attributed);
-      put_u64(body, unattributed);
       std::uint32_t nonzero = 0;
-      for (std::size_t cell = 0; cell < counts.size(); ++cell) {
-        if (counts[cell] != 0) {
+      for (const std::uint32_t cell : scratch.cells) {
+        if (cell == state::BasicStateImage<Family>::Partition::kNoCell) {
+          continue;
+        }
+        ++attributed;
+        if (counts[cell]++ == 0) {
+          touched[cell >> 6] |= std::uint64_t{1} << (cell & 63);
+          ++nonzero;
+        }
+      }
+      put_u64(body, attributed);
+      put_u64(body, addresses.size() - attributed);
+      for (std::size_t word = 0; word < touched.size(); ++word) {
+        if (touched[word] == 0) continue;
+        for (std::uint64_t bits = std::exchange(touched[word], 0); bits != 0;
+             bits &= bits - 1) {
+          const std::size_t cell = word * 64 + std::countr_zero(bits);
           put_u32(body, static_cast<std::uint32_t>(cell));
           put_u32(body, counts[cell]);
           counts[cell] = 0;
-          ++nonzero;
         }
       }
       header.count = nonzero;
@@ -682,6 +716,19 @@ void Server::handle_query(std::size_t shard, const RequestHeader& request,
       append_error(connection.out, request.op, request.request_id,
                    "serve: op carries no query semantics");
       return;
+  }
+  // A reply too large for one frame would leave the client unable to
+  // read it and its connection mid-frame; answer with an error frame
+  // that says how to narrow the request instead.
+  const std::size_t reply_bytes = kResponseHeaderBytes + body.size();
+  if (reply_bytes > kMaxFrameBytes) {
+    append_error(connection.out, request.op, request.request_id,
+                 "serve: " + std::string(op_name(request.op)) +
+                     " reply of " + std::to_string(reply_bytes) +
+                     " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+                     "-byte frame cap; " +
+                     std::string(narrowing_hint(request.op)));
+    return;
   }
   append_response(connection.out, header, body);
 }

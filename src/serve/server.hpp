@@ -19,8 +19,8 @@
 //   * The query hot path is lock-free: a request batch acquires the
 //     current generation through serve::GenerationStore (three
 //     uncontended atomics, no mutex), resolves its whole address batch
-//     with the existing batch kernels — LpmIndex::lookup_many /
-//     PrefixPartition::tally_cells, which carry the util::cpu SIMD
+//     with the existing batch kernel — PrefixPartition::locate_many
+//     over LpmIndex::lookup_many, which carries the util::cpu SIMD
 //     dispatch straight onto the network path — and releases the
 //     generation when the response is encoded. Mailboxes and the reload
 //     queue use mutexes, but those are control-plane only.
@@ -177,11 +177,20 @@ class Server {
   template <class Family>
   void perform_reload(const ReloadJob& job);
 
-  // Per-shard, per-family tally scratch: kept all-zero between
-  // requests so a tally request only pays for the cells it touched.
+  // Per-shard, per-family tally scratch. `counts` holds one count per
+  // partition cell and `touched` one bit per cell; both are all-zero
+  // between requests. A tally locates its batch into `cells`, sets a
+  // cell's bit when its count leaves zero, then walks the bitmap word
+  // by word, emitting and re-zeroing only the set cells — so a request
+  // costs O(batch + cells/64), never a sweep of every count.
   struct TallyScratch {
-    std::vector<std::uint32_t> counts4;
-    std::vector<std::uint32_t> counts6;
+    std::vector<std::uint32_t> counts;
+    std::vector<std::uint64_t> touched;
+    std::vector<std::uint32_t> cells;
+  };
+  struct ShardScratch {
+    TallyScratch v4;
+    TallyScratch v6;
   };
 
   ServerOptions options_;
@@ -191,7 +200,7 @@ class Server {
   util::ThreadPool pool_;
   std::size_t shard_count_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<TallyScratch> scratch_;
+  std::vector<ShardScratch> scratch_;
   std::atomic<std::size_t> next_assign_{0};
   std::atomic<bool> stop_{false};
 

@@ -29,8 +29,9 @@
 //
 // Batched bodies are flat little-endian arrays in the family's natural
 // width (v4 addresses u32, v6 addresses hi/lo u64 pairs), sized so a
-// whole request batch feeds LpmIndex::lookup_many /
-// PrefixPartition::tally_cells in one call.
+// whole request batch feeds PrefixPartition::locate_many in one call.
+// A reply that would not fit in one frame is answered with a kError
+// frame naming its size, never sent over the cap.
 #pragma once
 
 #include <cstdint>

@@ -38,16 +38,19 @@ std::string temp_path(const std::string& stem) {
          std::to_string(static_cast<long>(::getpid()));
 }
 
-// A tiny v4 topology: `n` disjoint 10.x.0.0/16 cells with seeded
-// per-cell host counts. Different (n, seed) pairs produce different
-// topology fingerprints.
+// The first address of cell `i` of a make_v4_image topology.
+std::uint32_t v4_cell_base(std::size_t i, int length = 16) {
+  return (10u << 24) + (static_cast<std::uint32_t>(i) << (32 - length));
+}
+
+// A v4 topology: `n` consecutive disjoint /`length` cells from 10.0.0.0
+// with seeded per-cell host counts. Different (n, seed) pairs produce
+// different topology fingerprints.
 std::string make_v4_image(const std::string& stem, std::size_t n,
-                          std::uint64_t seed) {
+                          std::uint64_t seed, int length = 16) {
   std::vector<net::Prefix> prefixes;
   for (std::size_t i = 0; i < n; ++i) {
-    prefixes.emplace_back(
-        net::Ipv4Address((10u << 24) | (static_cast<std::uint32_t>(i) << 16)),
-        16);
+    prefixes.emplace_back(net::Ipv4Address(v4_cell_base(i, length)), length);
   }
   bgp::PrefixPartition partition(std::move(prefixes));
   std::vector<std::uint32_t> counts(partition.size());
@@ -82,6 +85,45 @@ std::string make_v6_image(const std::string& stem, std::size_t n,
       path, partition,
       core::rank_by_density(counts, partition, core::PrefixMode::kMore));
   return path;
+}
+
+// What a served tally must equal bit for bit: tally_cells over the same
+// partition, its nonzero cells listed in ascending order.
+template <class Partition, class Word>
+TallyReply direct_tally(const Partition& partition,
+                        const std::vector<Word>& addresses) {
+  std::vector<std::uint32_t> counts(partition.size());
+  TallyReply reply;
+  partition.tally_cells(std::span<const Word>(addresses), counts,
+                        reply.attributed, reply.unattributed);
+  for (std::uint32_t cell = 0; cell < counts.size(); ++cell) {
+    if (counts[cell] != 0) reply.cells.emplace_back(cell, counts[cell]);
+  }
+  return reply;
+}
+
+void expect_same_tally(const ResponseHeader& header, const TallyReply& got,
+                       const TallyReply& want) {
+  EXPECT_EQ(header.count, want.cells.size());
+  EXPECT_EQ(got.attributed, want.attributed);
+  EXPECT_EQ(got.unattributed, want.unattributed);
+  EXPECT_EQ(got.cells, want.cells);
+}
+
+// Runs `request` and expects the typed over-cap error frame, not a
+// client-side framing failure.
+template <class Request>
+void expect_frame_cap_error(Request&& request) {
+  try {
+    request();
+    ADD_FAILURE() << "an over-cap reply was answered";
+  } catch (const FormatError& e) {
+    ADD_FAILURE() << "unreadable reply frame: " << e.what();
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("remote error"), std::string::npos) << message;
+    EXPECT_NE(message.find("frame cap"), std::string::npos) << message;
+  }
 }
 
 struct RunningServer {
@@ -264,18 +306,8 @@ TEST(ServeDaemon, AnswersMatchDirectLibraryCalls) {
 
   // tally: the nonzero histogram equals a direct tally_cells pass.
   const auto [tally_header, tally] = client.tally(addresses4);
-  std::vector<std::uint32_t> direct_counts(direct4.partition().size());
-  std::uint64_t attributed = 0;
-  std::uint64_t unattributed = 0;
-  direct4.partition().tally_cells(std::span(addresses4), direct_counts,
-                                 attributed, unattributed);
-  EXPECT_EQ(tally.attributed, attributed);
-  EXPECT_EQ(tally.unattributed, unattributed);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> direct_pairs;
-  for (std::uint32_t i = 0; i < direct_counts.size(); ++i) {
-    if (direct_counts[i] != 0) direct_pairs.emplace_back(i, direct_counts[i]);
-  }
-  EXPECT_EQ(tally.cells, direct_pairs);
+  expect_same_tally(tally_header, tally,
+                    direct_tally(direct4.partition(), addresses4));
 
   // v6 locate via the same connection.
   std::vector<net::Ipv6Address> addresses6;
@@ -299,6 +331,204 @@ TEST(ServeDaemon, AnswersMatchDirectLibraryCalls) {
 
   std::remove(v4_path.c_str());
   std::remove(v6_path.c_str());
+}
+
+TEST(ServeDaemon, TallyMatchesDirectTallyCellsBitForBit) {
+  // 1000 v4 and 300 v6 cells: the touched-cell bitmap spans many words.
+  const std::string v4_path = make_v4_image("serve_test_tally4", 1000, 9);
+  const std::string v6_path = make_v6_image("serve_test_tally6", 300, 13);
+  const state::StateImage direct4 = state::StateImage::load(v4_path);
+  const state::StateImage6 direct6 = state::StateImage6::load(v6_path);
+
+  ServerOptions options;
+  options.v4_image_path = v4_path;
+  options.v6_image_path = v6_path;
+  options.threads = 2;
+  RunningServer running(std::move(options));
+  Client client("127.0.0.1", running.server.port());
+
+  const auto check4 = [&](const std::vector<std::uint32_t>& addresses) {
+    const auto [header, reply] = client.tally(addresses);
+    EXPECT_EQ(header.fingerprint, direct4.info().fingerprint);
+    expect_same_tally(header, reply,
+                      direct_tally(direct4.partition(), addresses));
+  };
+  const auto check6 = [&](const std::vector<net::Ipv6Address>& addresses) {
+    const auto [header, reply] = client.tally(addresses);
+    EXPECT_EQ(header.fingerprint, direct6.info().fingerprint);
+    expect_same_tally(header, reply,
+                      direct_tally(direct6.partition(), addresses));
+  };
+
+  // Routed and unrouted addresses spread over the whole partition.
+  std::vector<std::uint32_t> mixed4;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    mixed4.push_back(v4_cell_base(i * 7 % 1100) + i * 977u % 65536);
+  }
+  std::vector<net::Ipv6Address> mixed6;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    mixed6.emplace_back(0x2001000000000000ULL | ((i * 11 % 330) << 16),
+                        i * 7919);
+  }
+  check4(mixed4);
+  check6(mixed6);
+
+  // An empty batch.
+  check4({});
+  check6({});
+
+  // A batch in which no address is routed.
+  std::vector<std::uint32_t> unrouted4;
+  std::vector<net::Ipv6Address> unrouted6;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    unrouted4.push_back(0xE0000000u + i * 4099u);
+    unrouted6.emplace_back(0x3fff000000000000ULL + i, i);
+  }
+  check4(unrouted4);
+  check6(unrouted6);
+
+  // A batch made mostly of duplicates of one address.
+  std::vector<std::uint32_t> duplicates4(5000, v4_cell_base(513) + 7);
+  std::vector<net::Ipv6Address> duplicates6(
+      5000, net::Ipv6Address(0x2001000000000000ULL | (211ULL << 16), 5));
+  for (std::size_t i = 0; i < 250; ++i) {
+    duplicates4[i * 20] = v4_cell_base(i * 3) + 1;
+    duplicates6[i * 20] =
+        net::Ipv6Address(0x2001000000000000ULL | ((i + 40) << 16), i);
+  }
+  check4(duplicates4);
+  check6(duplicates6);
+
+  // Back-to-back tallies on one connection: the first must leave the
+  // shard's counts and bitmap all-zero, or the repeat and the disjoint
+  // batch after it would carry its cells.
+  check4(mixed4);
+  check4(mixed4);
+  std::vector<std::uint32_t> disjoint4;
+  for (std::uint32_t i = 0; i < 64; ++i) disjoint4.push_back(v4_cell_base(i));
+  check4(disjoint4);
+  check6(mixed6);
+  check6(mixed6);
+
+  std::remove(v4_path.c_str());
+  std::remove(v6_path.c_str());
+}
+
+TEST(ServeDaemon, TallyAfterReloadToADifferentCellCount) {
+  // Shrink, then grow past the first size: the per-shard scratch is
+  // resized on the first tally against each new generation.
+  const std::string path_a = make_v4_image("serve_test_resize_a", 1000, 61);
+  const std::string path_b = make_v4_image("serve_test_resize_b", 70, 62);
+  const std::string path_c = make_v4_image("serve_test_resize_c", 3000, 63);
+  const state::StateImage direct_a = state::StateImage::load(path_a);
+  const state::StateImage direct_b = state::StateImage::load(path_b);
+  const state::StateImage direct_c = state::StateImage::load(path_c);
+
+  ServerOptions options;
+  options.v4_image_path = path_a;
+  options.threads = 1;  // one shard: every tally shares one scratch
+  RunningServer running(std::move(options));
+  Client client("127.0.0.1", running.server.port());
+
+  std::vector<std::uint32_t> addresses;
+  for (std::uint32_t i = 0; i < 6000; ++i) {
+    addresses.push_back(v4_cell_base(i % 3100) + i * 131u % 65536);
+  }
+  const auto check = [&](const state::StateImage& direct) {
+    const auto [header, reply] = client.tally(addresses);
+    ASSERT_EQ(header.fingerprint, direct.info().fingerprint);
+    expect_same_tally(header, reply,
+                      direct_tally(direct.partition(), addresses));
+  };
+  const auto swap_to = [&](const std::string& path,
+                           const state::StateImage& direct) {
+    client.reload(net::AddressFamily::kIpv4, path);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (client.info(net::AddressFamily::kIpv4).first.fingerprint !=
+           direct.info().fingerprint) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "reload did not land";
+    }
+  };
+
+  check(direct_a);
+  swap_to(path_b, direct_b);
+  check(direct_b);
+  swap_to(path_c, direct_c);
+  check(direct_c);
+  swap_to(path_a, direct_a);
+  check(direct_a);
+
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+  std::remove(path_c.c_str());
+}
+
+TEST(ServeDaemon, RepliesOverTheFrameCapAreErrorsAndServingContinues) {
+  // 200k /24 cells: enough that a full plan, or a maximum-size tally
+  // over distinct cells, is larger than one frame.
+  constexpr std::size_t kCells = 200'000;
+  const std::string v4_path = make_v4_image("serve_test_cap", kCells, 71, 24);
+  const state::StateImage direct = state::StateImage::load(v4_path);
+  ServerOptions options;
+  options.v4_image_path = v4_path;
+  options.threads = 1;
+  RunningServer running(std::move(options));
+  Client client("127.0.0.1", running.server.port());
+
+  // The largest batch a request frame holds.
+  constexpr std::size_t kMaxBatch =
+      (kMaxFrameBytes - kRequestHeaderBytes) / sizeof(std::uint32_t);
+  // At most this many distinct cells fit in one tally reply.
+  constexpr std::size_t kMaxReplyCells =
+      (kMaxFrameBytes - kResponseHeaderBytes - 16) / 8;
+
+  // A maximum-size batch whose reply still fits: every address lands in
+  // one of the first kMaxReplyCells - 1 cells, the last one unrouted.
+  std::vector<std::uint32_t> fitting(kMaxBatch);
+  for (std::size_t i = 0; i < kMaxBatch; ++i) {
+    fitting[i] = v4_cell_base(i * 7919 % (kMaxReplyCells - 1), 24) +
+                 static_cast<std::uint32_t>(i % 256);
+  }
+  fitting.back() = 0xE0000001u;
+  {
+    const auto [header, reply] = client.tally(fitting);
+    expect_same_tally(header, reply,
+                      direct_tally(direct.partition(), fitting));
+    EXPECT_EQ(reply.cells.size(), kMaxReplyCells - 1);
+  }
+
+  // The same batch size over more distinct cells than a reply can list.
+  std::vector<std::uint32_t> spread(kMaxBatch);
+  for (std::size_t i = 0; i < kMaxBatch; ++i) {
+    spread[i] = v4_cell_base(i % kCells, 24);
+  }
+  expect_frame_cap_error([&] { client.tally(spread); });
+  // The connection keeps serving, and the over-cap tally left the
+  // scratch all-zero behind it.
+  EXPECT_EQ(client.ping().status, Status::kOk);
+  {
+    const std::vector<std::uint32_t> small(spread.begin(),
+                                           spread.begin() + 1000);
+    const auto [header, reply] = client.tally(small);
+    expect_same_tally(header, reply, direct_tally(direct.partition(), small));
+  }
+
+  // A full plan lists every dense cell: about 1.6 MB of prefix rows.
+  PlanParams full;
+  full.phi = 1.0;
+  expect_frame_cap_error(
+      [&] { client.plan(net::AddressFamily::kIpv4, full); });
+  EXPECT_EQ(client.ping().status, Status::kOk);
+  PlanParams narrowed = full;
+  narrowed.max_addresses = 1u << 20;
+  const auto [plan_header, plan] =
+      client.plan(net::AddressFamily::kIpv4, narrowed);
+  EXPECT_EQ(plan_header.status, Status::kOk);
+  EXPECT_LE(plan.selected_addresses, narrowed.max_addresses);
+
+  std::remove(v4_path.c_str());
 }
 
 TEST(ServeDaemon, SampleDesignMatchesDirectPlanSample) {
