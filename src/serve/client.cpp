@@ -96,10 +96,18 @@ Client& Client::operator=(Client&& other) noexcept {
 
 std::vector<std::uint8_t> Client::roundtrip(
     const RequestHeader& request, std::span<const std::uint8_t> body) {
+  // The server drops a connection that announces an over-cap frame, so
+  // refuse it here and keep the connection usable.
+  const std::size_t payload_bytes = kRequestHeaderBytes + body.size();
+  if (payload_bytes > kMaxFrameBytes) {
+    throw Error("serve client: request frame of " +
+                std::to_string(payload_bytes) + " bytes exceeds the " +
+                std::to_string(kMaxFrameBytes) +
+                " byte cap; split the batch");
+  }
   std::vector<std::uint8_t> out;
-  out.reserve(4 + kRequestHeaderBytes + body.size());
-  put_u32(out,
-          static_cast<std::uint32_t>(kRequestHeaderBytes + body.size()));
+  out.reserve(4 + payload_bytes);
+  put_u32(out, static_cast<std::uint32_t>(payload_bytes));
   encode_request_header(out, request);
   out.insert(out.end(), body.begin(), body.end());
   send_all(fd_, out.data(), out.size());

@@ -11,7 +11,9 @@
 // the caller can bind the answer to the (generation, fingerprint) pair
 // that produced it. A Status::kError response is raised as tass::Error
 // carrying the server's message; protocol violations (truncated or
-// malformed frames) raise tass::FormatError.
+// malformed frames) raise tass::FormatError. A request whose frame would
+// exceed kMaxFrameBytes is refused locally with tass::Error before
+// anything is sent, so the connection stays usable.
 #pragma once
 
 #include <cstdint>

@@ -258,11 +258,11 @@ StatsReply Server::stats() const noexcept {
   reply.requests = requests_.load(std::memory_order_relaxed);
   reply.batched_addresses =
       batched_addresses_.load(std::memory_order_relaxed);
+  reply.generations_retired = retired_.load(std::memory_order_acquire);
   reply.swaps = swaps_.load(std::memory_order_relaxed);
   reply.last_swap_install_us =
       last_install_us_.load(std::memory_order_relaxed);
   reply.last_swap_drain_us = last_drain_us_.load(std::memory_order_relaxed);
-  reply.generations_retired = retired_.load(std::memory_order_relaxed);
   return reply;
 }
 
@@ -775,6 +775,9 @@ void Server::perform_reload(const ReloadJob& job) {
   try {
     Image fresh = Image::load(path);
     old = store<Family>().install(std::move(fresh));
+    // Counted at install, not after the drain below: the new generation
+    // serves from here on, however long the old one takes to drain.
+    swaps_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& e) {
     reload_failures_.fetch_add(1, std::memory_order_relaxed);
     std::fprintf(stderr, "tass_serve: reload of %s failed: %s\n",
@@ -786,8 +789,9 @@ void Server::perform_reload(const ReloadJob& job) {
   const auto t1 = Clock::now();
   store<Family>().retire(old);
   last_drain_us_.store(elapsed_us(t1), std::memory_order_relaxed);
-  if (old != nullptr) retired_.fetch_add(1, std::memory_order_relaxed);
-  swaps_.fetch_add(1, std::memory_order_relaxed);
+  // Release pairs with the acquire in stats(): a reader that sees this
+  // retirement also sees the swap counted above.
+  if (old != nullptr) retired_.fetch_add(1, std::memory_order_release);
 
   {
     std::lock_guard lock(path_mutex_);

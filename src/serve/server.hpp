@@ -219,7 +219,7 @@ class Server {
   bool reloader_stop_ = false;
   std::thread reloader_;
 
-  // Serving counters (relaxed; monitoring only).
+  // Serving counters (relaxed, except retired_; monitoring only).
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> batched_addresses_{0};
   std::atomic<std::uint64_t> swaps_{0};

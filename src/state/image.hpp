@@ -148,8 +148,27 @@ std::vector<std::byte> encode_image(
     const bgp::BasicPrefixPartition<Family>& partition,
     const core::DensityRankingT<Family>& ranking);
 
-/// encode_image + atomic-enough file write (write + rename);
-/// throws tass::Error on I/O failure.
+/// Replaces the file at `path` with `bytes` through a sibling temp file
+/// (`path` + ".tmp.<pid>") renamed over it. The contract:
+///   * replacement is atomic for concurrent readers: a load() sees the
+///     old file or the new one, never a mix, and mappings of the old
+///     file stay valid;
+///   * the temp file's full size is reserved (fallocate) before the
+///     first byte is written, so running out of space or hitting a file
+///     size limit fails before any byte lands; a filesystem that cannot
+///     reserve just skips the reservation;
+///   * nothing is fsynced: the new file is not durable across a crash
+///     and may read back as zeros or a mix afterwards. State images
+///     reject such a file by their checksum on load.
+/// Any failing step throws tass::Error naming the step and errno, and
+/// the temp file is removed; `path` is left as it was.
+void write_file_atomically(const std::string& path,
+                           std::span<const std::byte> bytes);
+
+/// encode_image + write_file_atomically: atomic for concurrent loaders,
+/// space reserved before the first byte, not durable across a crash (a
+/// torn image fails its checksum on load). Throws tass::Error on I/O
+/// failure.
 template <class Family>
 void save_image(const std::string& path,
                 const bgp::BasicPrefixPartition<Family>& partition,

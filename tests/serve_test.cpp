@@ -531,6 +531,35 @@ TEST(ServeDaemon, RepliesOverTheFrameCapAreErrorsAndServingContinues) {
   std::remove(v4_path.c_str());
 }
 
+TEST(ServeDaemon, OverCapRequestIsRefusedLocallyAndTheConnectionKeepsServing) {
+  const std::string v4_path = make_v4_image("serve_test_request_cap", 16, 9);
+  ServerOptions options;
+  options.v4_image_path = v4_path;
+  options.threads = 1;
+  RunningServer running(std::move(options));
+  Client client("127.0.0.1", running.server.port());
+
+  // One address more than a request frame holds.
+  constexpr std::size_t kOverBatch =
+      (kMaxFrameBytes - kRequestHeaderBytes) / sizeof(std::uint32_t) + 1;
+  ASSERT_EQ(kOverBatch, 262'142u);
+  const std::vector<std::uint32_t> addresses(kOverBatch, v4_cell_base(0));
+  try {
+    client.locate(addresses);
+    ADD_FAILURE() << "an over-cap request was sent";
+  } catch (const FormatError& e) {
+    ADD_FAILURE() << "expected a local request error, got: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(client.ping().status, Status::kOk);
+  const std::vector<std::uint32_t> small(1000, v4_cell_base(0));
+  EXPECT_EQ(client.locate(small).second, std::vector<std::uint32_t>(1000, 0));
+
+  std::remove(v4_path.c_str());
+}
+
 TEST(ServeDaemon, SampleDesignMatchesDirectPlanSample) {
   const std::string v4_path = make_v4_image("serve_test_sample4", 32, 3);
   const std::string v6_path = make_v6_image("serve_test_sample6", 24, 5);
@@ -732,7 +761,15 @@ TEST(ServeDaemon, ReloadSwapsTheServedGeneration) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "reload did not land";
   }
-  const auto [stats_header, stats] = client.stats();
+  // The old generation drains after the new one serves: wait for it.
+  StatsReply stats = client.stats().second;
+  const auto drain_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (stats.generations_retired == 0 &&
+         std::chrono::steady_clock::now() < drain_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = client.stats().second;
+  }
   EXPECT_GE(stats.swaps, 1u);
   EXPECT_GE(stats.generations_retired, 1u);
 

@@ -6,8 +6,14 @@
 // input side (truncations, flips, resealed corruption) lives with the
 // other parsers in parser_fuzz_test.cpp.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -189,7 +195,8 @@ TEST(StateImage, RoundTripsAcrossSeedsFreshAndChurned) {
                    (churned ? " churned" : " fresh"));
       EXPECT_TRUE(image.partition().borrowed());
       EXPECT_TRUE(image.index().borrowed());
-      EXPECT_EQ(image.info().fingerprint, bgp::partition_fingerprint(partition));
+      EXPECT_EQ(image.info().fingerprint,
+                bgp::partition_fingerprint(partition));
       EXPECT_NO_THROW(image.verify());  // deep audit must hold
       expect_views_identical(partition, ranking, image, rng);
     }
@@ -301,6 +308,105 @@ TEST(StateImage, EncodeRejectsMismatchedRanking) {
   EXPECT_THROW(encode_image(partition, broken), Error);
   bgp::PrefixPartition other(synthesize_prefixes(50, 4));
   EXPECT_THROW(encode_image(other, ranking), Error);
+}
+
+// Lowers this process's file size limit, with SIGXFSZ ignored so an
+// over-limit write fails with EFBIG instead of killing the test; both
+// are restored on scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    ::getrlimit(RLIMIT_FSIZE, &previous_);
+    rlimit lowered = previous_;
+    lowered.rlim_cur = bytes;
+    active_ = ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+  bool active() const { return active_; }
+
+ private:
+  rlimit previous_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+  bool active_ = false;
+};
+
+TEST(StateImage, FailedSaveLeavesTheOldImageAndNoTempFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("tsim_failed_save." + std::to_string(static_cast<long>(::getpid())));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "plan.tsim").string();
+
+  bgp::PrefixPartition old_partition(synthesize_prefixes(400, 41));
+  save_image(path, old_partition,
+             core::rank_by_density(synthesize_counts(old_partition, 41),
+                                   old_partition, core::PrefixMode::kMore));
+  const std::uint64_t old_checksum = StateImage::load(path).info().checksum;
+
+  bgp::PrefixPartition partition(synthesize_prefixes(900, 42));
+  const auto ranking = core::rank_by_density(
+      synthesize_counts(partition, 42), partition, core::PrefixMode::kMore);
+  const std::size_t image_bytes = encode_image(partition, ranking).size();
+  {
+    const FileSizeLimit limit(image_bytes / 2);
+    ASSERT_TRUE(limit.active());
+    try {
+      save_image(path, partition, ranking);
+      ADD_FAILURE() << "a save over the file size limit succeeded";
+    } catch (const FormatError& e) {
+      ADD_FAILURE() << "an I/O failure was typed as corruption: " << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::strerror(EFBIG)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  EXPECT_EQ(StateImage::load(path).info().checksum, old_checksum);
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << "left behind: " << entry.path();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// An image-sized file of zeros is what a reserved extent that never got
+// its bytes reads as after a crash; both loaders must reject it.
+template <class Image, class Partition>
+void expect_zeroed_image_rejected(const Partition& partition,
+                                  const std::string& stem) {
+  std::vector<std::uint32_t> counts(partition.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = static_cast<std::uint32_t>(i % 97 + 1);
+  }
+  const auto ranking =
+      core::rank_by_density(counts, partition, core::PrefixMode::kMore);
+  const std::vector<std::byte> zeros(encode_image(partition, ranking).size());
+  const std::string path = ::testing::TempDir() + stem + "." +
+                           std::to_string(static_cast<long>(::getpid()));
+  write_file_atomically(path, zeros);
+  EXPECT_THROW(Image::load(path), FormatError);
+  EXPECT_THROW(Image::attach(zeros), FormatError);
+  std::remove(path.c_str());
+}
+
+TEST(StateImage, ZeroedImageOfTheRightSizeIsRejected) {
+  expect_zeroed_image_rejected<StateImage>(
+      bgp::PrefixPartition(synthesize_prefixes(300, 17)), "tsim_zeroed.tsim");
+  std::vector<net::Ipv6Prefix> prefixes;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    prefixes.emplace_back(
+        net::Ipv6Address(0x2001000000000000ULL | (i << 16), 0), 48);
+  }
+  expect_zeroed_image_rejected<StateImage6>(
+      bgp::PrefixPartition6(std::move(prefixes)), "tsim_zeroed.tsi6");
 }
 
 }  // namespace

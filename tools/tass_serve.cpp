@@ -41,7 +41,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,24 +109,6 @@ Bootstrap bootstrap_from_image(const std::string& image_path,
                                 : 0);
   }
   return bootstrap;
-}
-
-/// write + rename so the serving reload never sees a torn image.
-void write_atomically(const std::string& path,
-                      std::span<const std::byte> bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    throw tass::Error("cannot write plan image: " + tmp);
-  }
-  const std::size_t written =
-      std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool flushed = std::fclose(file) == 0;
-  if (written != bytes.size() || !flushed ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw tass::Error("cannot publish plan image: " + path);
-  }
 }
 
 }  // namespace
@@ -234,7 +215,7 @@ int main(int argc, char** argv) {
       reactor->set_publisher([&server,
                               feed_out](tass::stream::PublishedPlan plan) {
         try {
-          write_atomically(feed_out, plan.image);
+          tass::state::write_file_atomically(feed_out, plan.image);
           server.request_reload(tass::net::AddressFamily::kIpv4, feed_out);
           std::fprintf(stderr,
                        "tass_serve: plan %llu published (%llu updates, "
