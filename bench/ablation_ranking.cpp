@@ -1,7 +1,7 @@
-// Ablation: is density the right ranking key? (DESIGN.md design-choice
-// index.) The paper sorts prefixes by density (hosts per address); this
-// bench compares, at equal host coverage, the address-space cost of
-// alternative orderings:
+// Ablation: is density the right ranking key? (One of the design
+// ablations docs/BENCHMARKS.md lists.) The paper sorts prefixes by
+// density (hosts per address); this bench compares, at equal host
+// coverage, the address-space cost of alternative orderings:
 //
 //   * density      — the paper's choice (step 3 of the algorithm)
 //   * host-count   — most responsive prefixes first, ignoring their size

@@ -19,8 +19,8 @@
 #include "core/selection.hpp"
 #include "net/interval.hpp"
 #include "scan/target_iterator.hpp"
+#include "support/prefix_set.hpp"
 #include "trie/lpm_index.hpp"
-#include "trie/prefix_set.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

@@ -1,7 +1,6 @@
 #include "bgp/rib.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "bgp/deaggregate.hpp"
 #include "util/error.hpp"
@@ -19,105 +18,152 @@ void merge_origins(std::vector<std::uint32_t>& into,
   }
 }
 
-}  // namespace
-
-RoutingTable RoutingTable::from_pfx2as(std::span<const Pfx2AsRecord> records) {
-  std::map<net::Prefix, std::vector<std::uint32_t>> merged;
-  for (const Pfx2AsRecord& record : records) {
-    merge_origins(merged[record.prefix], record.origins);
+// Sorts (prefix, record position) pairs and folds each run of one prefix
+// into a route. The position breaks ties, so a run lists its records in
+// input order and the merged origins keep their first-seen order.
+template <class Family, class Record, class AddOrigins>
+std::vector<BasicRouteEntry<Family>> merge_records(
+    std::span<const Record> records, AddOrigins add_origins) {
+  struct Keyed {
+    typename Family::Prefix prefix;
+    std::size_t position;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    keyed.push_back({records[i].prefix, i});
   }
-  RoutingTable table;
-  table.routes_.reserve(merged.size());
-  for (auto& [prefix, origins] : merged) {
-    table.routes_.push_back(RouteEntry{prefix, std::move(origins), false});
-  }
-  table.finalize();
-  return table;
-}
-
-RoutingTable RoutingTable::from_mrt(const MrtRibDump& dump) {
-  std::map<net::Prefix, std::vector<std::uint32_t>> merged;
-  for (const MrtRibRecord& record : dump.records) {
-    auto& origins = merged[record.prefix];
-    for (const MrtRibEntry& entry : record.entries) {
-      merge_origins(origins, entry.origin_set());
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    return a.prefix < b.prefix ||
+           (a.prefix == b.prefix && a.position < b.position);
+  });
+  std::vector<BasicRouteEntry<Family>> routes;
+  for (std::size_t i = 0; i < keyed.size();) {
+    BasicRouteEntry<Family>& route = routes.emplace_back();
+    route.prefix = keyed[i].prefix;
+    for (; i < keyed.size() && keyed[i].prefix == route.prefix; ++i) {
+      add_origins(route.origins, records[keyed[i].position]);
     }
   }
-  RoutingTable table;
-  table.routes_.reserve(merged.size());
-  for (auto& [prefix, origins] : merged) {
-    table.routes_.push_back(RouteEntry{prefix, std::move(origins), false});
-  }
+  return routes;
+}
+
+}  // namespace
+
+template <class Family>
+BasicRoutingTable<Family> BasicRoutingTable<Family>::from_pfx2as(
+    std::span<const Record> records) {
+  BasicRoutingTable table;
+  table.routes_ = merge_records<Family>(
+      records, [](std::vector<std::uint32_t>& into, const Record& record) {
+        merge_origins(into, record.origins);
+      });
   table.finalize();
   return table;
 }
 
-void RoutingTable::finalize() {
-  std::sort(routes_.begin(), routes_.end(),
-            [](const RouteEntry& a, const RouteEntry& b) {
-              return a.prefix < b.prefix;
-            });
+template <class Family>
+BasicRoutingTable<Family> BasicRoutingTable<Family>::from_mrt(
+    const MrtRibDump& dump)
+  requires std::same_as<Family, net::Ipv4Family>
+{
+  BasicRoutingTable table;
+  table.routes_ = merge_records<Family>(
+      std::span<const MrtRibRecord>(dump.records),
+      [](std::vector<std::uint32_t>& into, const MrtRibRecord& record) {
+        for (const MrtRibEntry& entry : record.entries) {
+          merge_origins(into, entry.origin_set());
+        }
+      });
+  table.finalize();
+  return table;
+}
 
-  trie::PrefixSet announced;
-  for (const RouteEntry& route : routes_) announced.insert(route.prefix);
-
-  for (RouteEntry& route : routes_) {
-    route.more_specific = announced.has_strict_ancestor(route.prefix);
-    advertised_.insert(route.prefix);
-    if (route.more_specific) m_space_.insert(route.prefix);
+template <class Family>
+void BasicRoutingTable<Family>::finalize() {
+  // In (network, length) order every ancestor sorts before its
+  // descendants, so a stack of the current containment chain classifies
+  // each route in one pass. The chain depth also says which routes tile
+  // which space: l-prefixes (depth 0) tile the advertised space, and the
+  // outermost m-prefixes (depth 1) tile the union of the m-prefixes.
+  std::vector<Prefix> chain;
+  for (Entry& route : routes_) {
+    while (!chain.empty() && !chain.back().contains(route.prefix)) {
+      chain.pop_back();
+    }
+    route.more_specific = !chain.empty();
+    const std::uint64_t units = Family::prefix_units(route.prefix);
+    if (chain.empty()) {
+      advertised_units_ = net::saturating_add(advertised_units_, units);
+    } else if (chain.size() == 1) {
+      m_units_ = net::saturating_add(m_units_, units);
+    }
+    chain.push_back(route.prefix);
   }
 }
 
-std::vector<net::Prefix> RoutingTable::l_prefixes() const {
-  std::vector<net::Prefix> out;
-  for (const RouteEntry& route : routes_) {
+template <class Family>
+auto BasicRoutingTable<Family>::l_prefixes() const -> std::vector<Prefix> {
+  std::vector<Prefix> out;
+  for (const Entry& route : routes_) {
     if (!route.more_specific) out.push_back(route.prefix);
   }
   return out;
 }
 
-std::vector<net::Prefix> RoutingTable::m_prefixes() const {
-  std::vector<net::Prefix> out;
-  for (const RouteEntry& route : routes_) {
+template <class Family>
+auto BasicRoutingTable<Family>::m_prefixes() const -> std::vector<Prefix> {
+  std::vector<Prefix> out;
+  for (const Entry& route : routes_) {
     if (route.more_specific) out.push_back(route.prefix);
   }
   return out;
 }
 
-PrefixPartition RoutingTable::l_partition() const {
-  return PrefixPartition(l_prefixes());
+template <class Family>
+BasicPrefixPartition<Family> BasicRoutingTable<Family>::l_partition() const {
+  return BasicPrefixPartition<Family>(l_prefixes());
 }
 
-PrefixPartition RoutingTable::m_partition() const {
+template <class Family>
+BasicPrefixPartition<Family> BasicRoutingTable<Family>::m_partition() const {
   // Group announced more-specifics under their covering l-prefix, then
   // deaggregate each l-prefix (Figure 2). Routes are sorted, so the
-  // more-specifics of an l-prefix immediately follow it.
-  std::vector<net::Prefix> cells;
+  // more-specifics of an l-prefix immediately follow it, and the cells
+  // come out ascending.
+  std::vector<Prefix> cells;
+  std::vector<Prefix> inside;
   std::size_t i = 0;
   while (i < routes_.size()) {
     TASS_ENSURES(!routes_[i].more_specific);
-    const net::Prefix covering = routes_[i].prefix;
-    std::vector<net::Prefix> inside;
+    const Prefix covering = routes_[i].prefix;
+    inside.clear();
     std::size_t j = i + 1;
     while (j < routes_.size() && covering.contains(routes_[j].prefix)) {
       inside.push_back(routes_[j].prefix);
       ++j;
     }
-    const auto tiles = deaggregate(covering, inside);
-    cells.insert(cells.end(), tiles.begin(), tiles.end());
+    if (inside.empty()) {
+      cells.push_back(covering);
+    } else {
+      const auto tiles =
+          deaggregate(covering, std::span<const Prefix>(inside));
+      cells.insert(cells.end(), tiles.begin(), tiles.end());
+    }
     i = j;
   }
-  return PrefixPartition(std::move(cells));
+  return BasicPrefixPartition<Family>(std::move(cells));
 }
 
-RibStats RoutingTable::stats() const {
+template <class Family>
+RibStats BasicRoutingTable<Family>::stats() const {
   RibStats stats;
   stats.prefix_count = routes_.size();
   stats.m_prefix_count = static_cast<std::size_t>(
       std::count_if(routes_.begin(), routes_.end(),
-                    [](const RouteEntry& r) { return r.more_specific; }));
-  stats.advertised_addresses = advertised_.address_count();
-  stats.m_prefix_addresses = m_space_.address_count();
+                    [](const Entry& r) { return r.more_specific; }));
+  stats.advertised_addresses = advertised_units_;
+  stats.m_prefix_addresses = m_units_;
   if (stats.prefix_count > 0) {
     stats.m_prefix_fraction =
         static_cast<double>(stats.m_prefix_count) /
@@ -131,13 +177,17 @@ RibStats RoutingTable::stats() const {
   return stats;
 }
 
-std::vector<Pfx2AsRecord> RoutingTable::to_pfx2as() const {
-  std::vector<Pfx2AsRecord> records;
+template <class Family>
+auto BasicRoutingTable<Family>::to_pfx2as() const -> std::vector<Record> {
+  std::vector<Record> records;
   records.reserve(routes_.size());
-  for (const RouteEntry& route : routes_) {
-    records.push_back(Pfx2AsRecord{route.prefix, route.origins});
+  for (const Entry& route : routes_) {
+    records.push_back(Record{route.prefix, route.origins});
   }
   return records;
 }
+
+template class BasicRoutingTable<net::Ipv4Family>;
+template class BasicRoutingTable<net::Ipv6Family>;
 
 }  // namespace tass::bgp

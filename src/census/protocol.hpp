@@ -112,7 +112,8 @@ struct ProtocolProfile {
   double handshake_packets = 6;
 };
 
-/// Calibrated preset for a protocol. See DESIGN.md §5 for the targets.
+/// Calibrated preset for a protocol. tests/calibration_test.cpp pins the
+/// paper-shape targets the presets are calibrated to.
 const ProtocolProfile& protocol_profile(Protocol protocol) noexcept;
 
 }  // namespace tass::census

@@ -5,42 +5,6 @@
 
 namespace tass::trie {
 
-// Transient binary trie used only during construction; 12 bytes per node
-// (no std::optional padding) so full-RIB builds stay cheap. The read
-// structure is derived from it by leaf-pushing whole strides at a time.
-template <class Family>
-struct BasicLpmIndex<Family>::BuildNode {
-  std::int32_t child[2] = {-1, -1};
-  std::uint32_t value = kNoMatch;
-};
-
-template <class Family>
-void BasicLpmIndex<Family>::trie_insert(std::vector<BuildNode>& bt,
-                                        const Entry& entry) {
-  std::int32_t node = 0;
-  const net::AddressKey network = Family::first_key(entry.prefix);
-  for (int depth = 0; depth < entry.prefix.length(); ++depth) {
-    const int bit = network.bit(depth);
-    if (bt[static_cast<std::size_t>(node)].child[bit] < 0) {
-      bt[static_cast<std::size_t>(node)].child[bit] =
-          static_cast<std::int32_t>(bt.size());
-      bt.emplace_back();
-    }
-    node = bt[static_cast<std::size_t>(node)].child[bit];
-  }
-  bt[static_cast<std::size_t>(node)].value = entry.value;
-}
-
-// Builds the transient binary trie for a set of (absolute) entries; used
-// for both the full build and the per-block patches.
-template <class Family>
-auto BasicLpmIndex<Family>::build_trie(std::span<const Entry> entries)
-    -> std::vector<BuildNode> {
-  std::vector<BuildNode> bt(1);
-  for (const Entry& entry : entries) trie_insert(bt, entry);
-  return bt;
-}
-
 template <class Family>
 void BasicLpmIndex<Family>::sync_views() noexcept {
   if (borrowed_) return;
@@ -150,9 +114,12 @@ BasicLpmIndex<Family>::BasicLpmIndex(std::span<const Entry> table) {
   }
   // Canonical entry table: ascending by prefix, duplicates resolved with
   // the historical last-entry-wins semantics (stable sort keeps input
-  // order within a duplicate run; we keep the run's last element).
+  // order within a duplicate run; we keep the run's last element). Tables
+  // built from a partition arrive sorted and skip the sort.
   entries_.assign(table.begin(), table.end());
-  std::stable_sort(entries_.begin(), entries_.end(), entry_less);
+  if (!std::is_sorted(entries_.begin(), entries_.end(), entry_less)) {
+    std::stable_sort(entries_.begin(), entries_.end(), entry_less);
+  }
   std::size_t out = 0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (i + 1 < entries_.size() &&
@@ -170,9 +137,31 @@ template <class Family>
 void BasicLpmIndex<Family>::rebuild_all() {
   nodes_.clear();
   leaves_.clear();
-  const std::vector<BuildNode> bt = build_trie(entries_);
   root_.assign(std::size_t{1} << kRootBits, kNoMatch);
-  fill_root(bt, 0, 0, 0, kNoMatch);
+  // entries_ ascends by (network, length), so every prefix sorts after the
+  // prefixes covering it: painting the /16-and-shorter entries in order
+  // leaves each root slot holding its longest match, and the deeper
+  // entries of one /16 block form a contiguous run that follows every
+  // entry covering the block.
+  std::size_t i = 0;
+  while (i < entries_.size()) {
+    const Entry& entry = entries_[i];
+    const std::uint32_t block = Family::first_key(entry.prefix).top16();
+    if (entry.prefix.length() <= kRootBits) {
+      std::fill_n(root_.begin() + block,
+                  std::size_t{1} << (kRootBits - entry.prefix.length()),
+                  entry.value);
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < entries_.size() &&
+           Family::first_key(entries_[end].prefix).top16() == block) {
+      ++end;
+    }
+    build_block(block, std::span(entries_).subspan(i, end - i), root_[block]);
+    i = end;
+  }
   node_limit_ = nodes_.size() * 2 + 1024;
   leaf_limit_ = leaves_.size() * 2 + 4096;
   sync_views();
@@ -187,87 +176,71 @@ BasicLpmIndex<Family> BasicLpmIndex<Family>::from_prefixes(
   return BasicLpmIndex(table);
 }
 
-// Walks the build trie down to the root-stride depth. Slots whose subtree
-// ends at or above /16 become direct leaves; slots with longer prefixes
-// below get a node subtree. `path` is the address-bit prefix accumulated so
-// far, `inherited` the best match covering it.
+// Sets root_[block] for one /16 block: the covering value itself when no
+// entry is longer than /16 inside it, otherwise a node subtree over the
+// block's deeper entries (`deeper`: ascending, all longer than /16, all
+// inside the block). A patch calls this on a live index; the subtree it
+// replaces is abandoned in place and reclaimed by the next full rebuild.
 template <class Family>
-void BasicLpmIndex<Family>::fill_root(const std::vector<BuildNode>& bt,
-                                      std::int32_t node, int depth,
-                                      std::uint32_t path,
-                                      std::uint32_t inherited) {
-  if (node >= 0 && bt[static_cast<std::size_t>(node)].value != kNoMatch) {
-    inherited = bt[static_cast<std::size_t>(node)].value;
-  }
-  const bool has_children =
-      node >= 0 && (bt[static_cast<std::size_t>(node)].child[0] >= 0 ||
-                    bt[static_cast<std::size_t>(node)].child[1] >= 0);
-  if (depth == kRootBits) {
-    if (has_children) {
-      const auto index = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.emplace_back();
-      populate(index, bt, node, depth, inherited);
-      root_[path] = kNodeFlag | index;
-    } else {
-      root_[path] = inherited;
-    }
+void BasicLpmIndex<Family>::build_block(std::uint32_t block,
+                                        std::span<const Entry> deeper,
+                                        std::uint32_t inherited) {
+  if (deeper.empty()) {
+    root_[block] = inherited;
     return;
   }
-  if (!has_children) {
-    // The whole sub-block resolves to `inherited` (root_ is pre-filled
-    // with kNoMatch, so only real matches need writing).
-    if (inherited != kNoMatch) {
-      const std::uint32_t width = 1u << (kRootBits - depth);
-      std::fill_n(root_.begin() + (path << (kRootBits - depth)), width,
-                  inherited);
-    }
-    return;
-  }
-  const BuildNode& bn = bt[static_cast<std::size_t>(node)];
-  fill_root(bt, bn.child[0], depth + 1, path << 1, inherited);
-  fill_root(bt, bn.child[1], depth + 1, (path << 1) | 1u, inherited);
+  const auto index = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.emplace_back();
+  populate(index, deeper, kRootBits, inherited);
+  root_[block] = kNodeFlag | index;
 }
 
-// Fills nodes_[index] for the build-trie subtree rooted at `node` (a
-// stride-aligned depth >= 16). For every stride slot the best covering
-// value is leaf-pushed; slots with prefixes continuing below the stride
-// become children, which are allocated as one contiguous block so
-// popcount ranking addresses them.
+// Fills nodes_[index], the node at stride-aligned `depth` whose slots
+// cover `entries` (ascending, all longer than `depth`, all under the
+// node's path); `inherited` is the best match covering the whole node.
+// Entries ending within the stride are painted over their slot span in
+// order, so an entry overwrites the prefixes covering it and every slot
+// ends up leaf-pushed with its longest match. Entries reaching past the
+// stride mark their slot as a child; a child slot's entries sort after
+// the ones painted over it and form one contiguous run. Children are
+// allocated as one contiguous block (popcount ranking addresses them)
+// and filled in slot order, grandchildren landing after the block.
 template <class Family>
 void BasicLpmIndex<Family>::populate(std::uint32_t index,
-                                     const std::vector<BuildNode>& bt,
-                                     std::int32_t node, int depth,
-                                     std::uint32_t inherited) {
+                                     std::span<const Entry> entries,
+                                     int depth, std::uint32_t inherited) {
   const int stride = stride_at(depth);
+  const int end_depth = depth + stride;
   const std::uint32_t slots = 1u << stride;
 
-  std::array<std::int32_t, 64> sub{};
-  std::array<std::uint32_t, 64> value{};
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    std::int32_t cur = node;
-    std::uint32_t best = inherited;
-    for (int bit = stride - 1; bit >= 0 && cur >= 0; --bit) {
-      cur = bt[static_cast<std::size_t>(cur)].child[(slot >> bit) & 1u];
-      if (cur >= 0 && bt[static_cast<std::size_t>(cur)].value != kNoMatch) {
-        best = bt[static_cast<std::size_t>(cur)].value;
-      }
+  std::array<std::uint32_t, 64> value;
+  std::fill_n(value.begin(), slots, inherited);
+  std::array<std::size_t, 64> run_begin{};
+  std::array<std::size_t, 64> run_end{};
+  Node result;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const Entry& entry = entries[k];
+    const std::uint32_t slot =
+        Family::first_key(entry.prefix).slot(depth, stride);
+    const int length = entry.prefix.length();
+    if (length <= end_depth) {
+      std::fill_n(value.begin() + slot, 1u << (end_depth - length),
+                  entry.value);
+      continue;
     }
-    sub[slot] = cur;
-    value[slot] = best;
+    if (((result.child_bits >> slot) & 1u) == 0) {
+      result.child_bits |= 1ull << slot;
+      run_begin[slot] = k;
+    }
+    run_end[slot] = k + 1;
   }
 
-  Node result;
   result.leaf_base = static_cast<std::uint32_t>(leaves_.size());
   bool in_run = false;
   std::uint32_t run_value = 0;
   for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    const bool internal =
-        sub[slot] >= 0 &&
-        (bt[static_cast<std::size_t>(sub[slot])].child[0] >= 0 ||
-         bt[static_cast<std::size_t>(sub[slot])].child[1] >= 0);
-    if (internal) {
-      result.child_bits |= 1ull << slot;
-      in_run = false;  // an internal slot breaks the leaf run
+    if ((result.child_bits >> slot) & 1u) {
+      in_run = false;  // a child slot breaks the leaf run
       continue;
     }
     if (!in_run || value[slot] != run_value) {
@@ -278,51 +251,16 @@ void BasicLpmIndex<Family>::populate(std::uint32_t index,
     }
   }
 
-  // Children must be contiguous; reserve the block first, then recurse
-  // (grandchildren land after it).
   result.child_base = static_cast<std::uint32_t>(nodes_.size());
-  const auto child_count =
-      static_cast<std::size_t>(std::popcount(result.child_bits));
-  nodes_.resize(nodes_.size() + child_count);
+  nodes_.resize(nodes_.size() +
+                static_cast<std::size_t>(std::popcount(result.child_bits)));
   nodes_[index] = result;
   std::uint32_t child = result.child_base;
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    if ((result.child_bits >> slot) & 1u) {
-      populate(child++, bt, sub[slot], depth + stride, value[slot]);
-    }
-  }
-}
-
-// Rebuilds the read structures of one /16 root block from a transient
-// trie holding exactly the entries that intersect the block (in-block
-// prefixes plus any shorter covering prefixes). Mirrors the terminal case
-// of fill_root; the replaced subtree is abandoned in place and reclaimed
-// by the next full rebuild.
-template <class Family>
-void BasicLpmIndex<Family>::patch_block(std::uint32_t block,
-                                        const std::vector<BuildNode>& bt) {
-  std::int32_t node = 0;
-  std::uint32_t inherited = kNoMatch;
-  for (int depth = 0; depth < kRootBits && node >= 0; ++depth) {
-    if (bt[static_cast<std::size_t>(node)].value != kNoMatch) {
-      inherited = bt[static_cast<std::size_t>(node)].value;
-    }
-    const int bit = (block >> (kRootBits - 1 - depth)) & 1;
-    node = bt[static_cast<std::size_t>(node)].child[bit];
-  }
-  if (node >= 0 && bt[static_cast<std::size_t>(node)].value != kNoMatch) {
-    inherited = bt[static_cast<std::size_t>(node)].value;
-  }
-  const bool has_children =
-      node >= 0 && (bt[static_cast<std::size_t>(node)].child[0] >= 0 ||
-                    bt[static_cast<std::size_t>(node)].child[1] >= 0);
-  if (has_children) {
-    const auto index = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-    populate(index, bt, node, kRootBits, inherited);
-    root_[block] = kNodeFlag | index;
-  } else {
-    root_[block] = inherited;
+  for (std::uint64_t bits = result.child_bits; bits != 0; bits &= bits - 1) {
+    const auto slot = static_cast<std::uint32_t>(std::countr_zero(bits));
+    populate(child++,
+             entries.subspan(run_begin[slot], run_end[slot] - run_begin[slot]),
+             end_depth, value[slot]);
   }
 }
 
@@ -471,14 +409,12 @@ auto BasicLpmIndex<Family>::update(std::span<const Entry> upserts,
     return stats;
   }
 
-  // Per-block rebuild, with the gather buffer and the transient trie
-  // reused across blocks (the patch loop's hot allocation otherwise).
-  std::vector<BuildNode> bt;
+  // Per-block rebuild: the block's value is its longest covering entry of
+  // /16 or shorter (probing only the short lengths the table has, then
+  // the block's own /16), and its deeper entries are one contiguous run.
   for (const auto& [lo, hi] : runs) {
     for (std::uint32_t block = lo; block <= hi; ++block) {
-      bt.clear();
-      bt.emplace_back();
-      // Shorter prefixes covering the block — only lengths the table has.
+      std::uint32_t inherited = kNoMatch;
       for (std::uint32_t mask = short_lengths; mask != 0;
            mask &= mask - 1) {
         const int length = std::countr_zero(mask);
@@ -487,18 +423,22 @@ auto BasicLpmIndex<Family>::update(std::span<const Entry> upserts,
         const auto it = std::lower_bound(entries_.cbegin(), entries_.cend(),
                                          Entry{cover, 0}, entry_less);
         if (it != entries_.cend() && it->prefix == cover) {
-          trie_insert(bt, *it);
+          inherited = it->value;
         }
       }
-      // Prefixes of /16 and longer whose network lies inside the block.
-      for (auto it = std::lower_bound(entries_.cbegin(), entries_.cend(),
-                                      block, block_lower);
-           it != entries_.cend() &&
-           Family::first_key(it->prefix).top16() == block;
-           ++it) {
-        if (it->prefix.length() >= kRootBits) trie_insert(bt, *it);
+      const auto in_block = [&](auto it) {
+        return it != entries_.cend() &&
+               Family::first_key(it->prefix).top16() == block;
+      };
+      auto begin = std::lower_bound(entries_.cbegin(), entries_.cend(),
+                                    block, block_lower);
+      for (; in_block(begin) && begin->prefix.length() <= kRootBits;
+           ++begin) {
+        inherited = begin->value;
       }
-      patch_block(block, bt);
+      auto end = begin;
+      while (in_block(end)) ++end;
+      build_block(block, {begin, end}, inherited);
     }
   }
 

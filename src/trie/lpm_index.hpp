@@ -5,10 +5,11 @@
 // This is the unified match substrate behind every per-address decision a
 // scan cycle makes: prefix/AS attribution (bgp::PrefixPartition), blocklist
 // checks (scan::Blocklist), special-use classification (net::special_use)
-// and scope membership (scan::ScanScope). The bitwise PrefixTrie stays
-// around as the mutable build/enumeration structure and as the reference
-// implementation for the differential tests; BasicLpmIndex is the
-// immutable read-optimised form built once from a prefix -> value table.
+// and scope membership (scan::ScanScope). It is the read-optimised form
+// of a prefix -> value table, built in one pass over the table sorted by
+// (network, length); the bitwise PrefixTrie remains only as the
+// reference the differential tests (and micro_lpm's baseline) compare
+// it against.
 //
 // Layout (Poptrie-flavoured, generic over the key width):
 //   * a direct-indexed root array over the top 16 address bits — one load
@@ -25,7 +26,10 @@
 //     is a handful of dependent loads and never backtracks.
 //   * values are leaf-pushed during construction: every slot already knows
 //     the best (longest) match covering it, which is what makes the
-//     no-backtracking lookup correct.
+//     no-backtracking lookup correct. In (network, length) order a prefix
+//     sorts after every prefix covering it, so painting the sorted entries
+//     over their slot spans, level by level, leaves each slot holding its
+//     longest match.
 //
 // The batched lookup_many() is the API the sharded scan pipeline uses: a
 // shard hands over its whole address block (Family::AddressWord elements:
@@ -312,15 +316,12 @@ class BasicLpmIndex {
     return a.prefix < b.prefix;
   }
 
-  struct BuildNode;
-  static std::vector<BuildNode> build_trie(std::span<const Entry> entries);
-  static void trie_insert(std::vector<BuildNode>& bt, const Entry& entry);
-  void populate(std::uint32_t index, const std::vector<BuildNode>& bt,
-                std::int32_t node, int depth, std::uint32_t inherited);
-  void fill_root(const std::vector<BuildNode>& bt, std::int32_t node,
-                 int depth, std::uint32_t path, std::uint32_t inherited);
+  // The builder: the read arrays come straight from the sorted entries.
   void rebuild_all();
-  void patch_block(std::uint32_t block, const std::vector<BuildNode>& bt);
+  void build_block(std::uint32_t block, std::span<const Entry> deeper,
+                   std::uint32_t inherited);
+  void populate(std::uint32_t index, std::span<const Entry> entries,
+                int depth, std::uint32_t inherited);
   // Re-anchors the read-side spans on the owned vectors (no-op for a
   // borrowed index, whose spans point at caller storage).
   void sync_views() noexcept;

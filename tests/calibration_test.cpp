@@ -1,8 +1,9 @@
-// Calibration suite: asserts the DESIGN.md section 5 shape-fidelity
-// targets on a mid-size synthetic world, so regressions in the generative
-// model (topology, population, churn) are caught by CI rather than by
-// eyeballing bench output. Tolerances are deliberately loose — the paper's
-// *shape* is the contract, not its third decimal.
+// Calibration suite: asserts the paper's shape-fidelity targets (Table 1,
+// Figures 3, 5 and 6, the headline efficiency band) on a mid-size
+// synthetic world, so regressions in the generative model (topology,
+// population, churn) are caught by CI rather than by eyeballing bench
+// output. Tolerances are deliberately loose — the paper's *shape* is the
+// contract, not its third decimal.
 #include <gtest/gtest.h>
 
 #include <map>

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "trie/lpm_index6.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -155,6 +157,132 @@ TEST(LpmIndexTest, StatsAreConsistent) {
   for (std::uint32_t i = 0; i < 256; ++i) {
     EXPECT_EQ(index.lookup(net::Ipv4Address((i << 24) | 0x00ffffffu)), i);
   }
+}
+
+// ---- direct build from the sorted entries -----------------------------
+
+// Naive longest match over a raw table (last duplicate wins).
+template <class Family>
+std::uint32_t oracle(
+    const std::vector<typename BasicLpmIndex<Family>::Entry>& table,
+    typename Family::Address address) {
+  int best_length = -1;
+  std::uint32_t best = BasicLpmIndex<Family>::kNoMatch;
+  for (const auto& entry : table) {
+    if (entry.prefix.contains(address) &&
+        entry.prefix.length() >= best_length) {
+      best_length = entry.prefix.length();
+      best = entry.value;
+    }
+  }
+  return best;
+}
+
+// Looks up the first and last address of every entry, one address to
+// either side, and a deterministic spread, against the oracle.
+void expect_matches_oracle(const std::vector<LpmIndex::Entry>& table) {
+  const LpmIndex index(table);
+  std::vector<std::uint32_t> probes{0u, 0xffffffffu};
+  for (const auto& entry : table) {
+    const std::uint32_t first = entry.prefix.network().value();
+    const std::uint32_t last = entry.prefix.last().value();
+    probes.insert(probes.end(), {first, last, first - 1, last + 1});
+  }
+  for (std::uint32_t i = 0; i < 2048; ++i) probes.push_back(i * 0x0107f3a1u);
+  for (const std::uint32_t probe : probes) {
+    const net::Ipv4Address address(probe);
+    ASSERT_EQ(index.lookup(address), oracle<net::Ipv4Family>(table, address))
+        << address.to_string();
+  }
+}
+
+TEST(LpmIndexBuildTest, EntriesOnTheV4StrideBoundaries) {
+  // Lengths 15-17, 21-23, 27-29 and 32 on one address: each stride
+  // boundary (root /16, nodes ending at /22 and /28) and its neighbours.
+  std::vector<LpmIndex::Entry> table;
+  std::uint32_t value = 1;
+  for (const int length : {15, 16, 17, 21, 22, 23, 27, 28, 29, 32}) {
+    table.push_back(
+        {net::Prefix(net::Ipv4Address(0x0a2b3c4du), length), value++});
+  }
+  // Siblings exactly on the boundaries elsewhere in the same blocks.
+  table.push_back({pfx("10.43.255.252/30"), value++});
+  table.push_back({pfx("10.42.0.0/16"), value++});
+  table.push_back({pfx("10.43.64.0/22"), value++});
+  table.push_back({pfx("10.43.60.64/28"), value++});
+  expect_matches_oracle(table);
+
+  const LpmIndex index(table);
+  // 10.43.0.0/16 has deeper entries, so its root word is a node; the
+  // sibling 10.42.0.0/16 resolves in the root.
+  EXPECT_NE(index.raw().root[0x0a2b] & LpmIndex::kNodeFlag, 0u);
+  EXPECT_EQ(index.raw().root[0x0a2a], 12u);
+}
+
+TEST(LpmIndexBuildTest, DefaultRouteAndDuplicatesLastWins) {
+  const std::vector<LpmIndex::Entry> table{
+      {pfx("0.0.0.0/0"), 1},      {pfx("192.0.2.0/24"), 2},
+      {pfx("0.0.0.0/0"), 3},      {pfx("192.0.2.0/24"), 4},
+      {pfx("192.0.2.128/25"), 5}, {pfx("0.0.0.0/0"), 6},
+  };
+  expect_matches_oracle(table);
+  const LpmIndex index(table);
+  EXPECT_EQ(index.prefix_count(), 3u);
+  EXPECT_EQ(index.lookup(addr("8.8.8.8")), 6u);
+  EXPECT_EQ(index.lookup(addr("192.0.2.1")), 4u);
+  EXPECT_EQ(index.lookup(addr("192.0.2.129")), 5u);
+  // Only 192.0.0.0/16 needs a node (two levels: /22, then /28 slots).
+  EXPECT_EQ(index.node_count(), 2u);
+}
+
+TEST(LpmIndexBuildTest, RandomNestedTablesMatchTheOracle) {
+  for (const std::uint64_t seed : {3ull, 33ull, 333ull}) {
+    util::Rng rng(seed);
+    std::vector<LpmIndex::Entry> table;
+    for (int i = 0; i < 400; ++i) {
+      // Clustered networks so prefixes nest and share blocks.
+      const auto network = static_cast<std::uint32_t>(
+          (rng.bounded(4) << 30) | (rng.bounded(1u << 12) << 4));
+      table.push_back(
+          {net::Prefix(net::Ipv4Address(network),
+                       static_cast<int>(rng.bounded(33))),
+           static_cast<std::uint32_t>(rng.bounded(1000))});
+    }
+    expect_matches_oracle(table);
+  }
+}
+
+TEST(LpmIndexBuildTest, V6ChainAcrossManyStrides) {
+  // One chain from ::/0 down to a /128 through every stride boundary of
+  // the v6 schedule (16, 22, ..., 64, ..., 124, 128) and next to it.
+  const net::Ipv6Address host = net::Ipv6Address::parse_or_throw(
+      "2001:db8:aaaa:bbbb:cccc:dddd:eeee:ffff");
+  std::vector<LpmIndex6::Entry> table;
+  std::uint32_t value = 0;
+  for (int length = 0; length <= 128; length += 3) {
+    table.push_back({net::Ipv6Prefix(host, length), value++});
+  }
+  for (const int length : {16, 22, 64, 65, 124, 127, 128}) {
+    table.push_back({net::Ipv6Prefix(host, length), value++});
+  }
+  const LpmIndex6 index(table);
+  EXPECT_EQ(index.node_count(), 19u);  // one node per level below the root
+  const auto probe = [&](std::uint64_t hi, std::uint64_t lo) {
+    const net::Ipv6Address address(hi, lo);
+    EXPECT_EQ(index.lookup(address),
+              oracle<net::Ipv6Family>(table, address))
+        << address.to_string();
+  };
+  for (int bit = 0; bit < 128; ++bit) {
+    // Flip one bit of the host route: the match is the chain entry just
+    // above the flipped bit.
+    const std::uint64_t hi = host.hi() ^ (bit < 64 ? 1ull << (63 - bit) : 0);
+    const std::uint64_t lo = host.lo() ^ (bit < 64 ? 0 : 1ull << (127 - bit));
+    probe(hi, lo);
+  }
+  probe(host.hi(), host.lo());
+  probe(0, 0);
+  probe(~0ull, ~0ull);
 }
 
 // ---- incremental update ---------------------------------------------
@@ -311,6 +439,44 @@ TEST(LpmIndexUpdateTest, RepeatedPatchesCompactInsteadOfGrowingForever) {
   // (plus the small constant slack), not 400 rounds of accretion.
   EXPECT_LE(index.node_count() + index.leaf_count(), baseline * 3 + 6000);
   expect_matches_fresh_rebuild(index);
+}
+
+TEST(LpmIndexUpdateTest, CompactionLeavesTheArraysOfAFreshBuild) {
+  util::Rng rng(99);
+  std::vector<LpmIndex::Entry> table;
+  for (std::uint32_t i = 0; i < 2048; ++i) {
+    const auto network = static_cast<std::uint32_t>(rng.bounded(1ull << 32));
+    table.push_back({net::Prefix(net::Ipv4Address(network),
+                                 17 + static_cast<int>(rng.bounded(16))),
+                     i});
+  }
+  LpmIndex index(table);
+  bool compacted = false;
+  for (int round = 0; round < 400 && !compacted; ++round) {
+    std::vector<LpmIndex::Entry> upserts;
+    for (int k = 0; k < 16; ++k) {
+      const auto& entry = index.entries()[static_cast<std::size_t>(
+          rng.bounded(index.entries().size()))];
+      upserts.push_back({entry.prefix, entry.value + 1});
+    }
+    const auto stats = index.update(upserts, {});
+    ASSERT_FALSE(stats.rebuilt);  // small batches must patch
+    compacted = stats.compacted;
+  }
+  ASSERT_TRUE(compacted);
+  const std::vector<LpmIndex::Entry> entries(index.entries().begin(),
+                                             index.entries().end());
+  const LpmIndex fresh(entries);
+  const auto a = index.raw();
+  const auto b = fresh.raw();
+  ASSERT_TRUE(std::equal(a.root.begin(), a.root.end(), b.root.begin(),
+                         b.root.end()));
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  EXPECT_EQ(std::memcmp(a.nodes.data(), b.nodes.data(),
+                        a.nodes.size() * sizeof(LpmIndex::Node)),
+            0);
+  EXPECT_TRUE(std::equal(a.leaves.begin(), a.leaves.end(),
+                         b.leaves.begin(), b.leaves.end()));
 }
 
 TEST(LpmIndexUpdateTest, RandomizedChurnMatchesFreshRebuild) {

@@ -1,4 +1,4 @@
-#include "trie/prefix_set.hpp"
+#include "support/prefix_set.hpp"
 
 #include <algorithm>
 

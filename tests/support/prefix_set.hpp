@@ -1,6 +1,10 @@
 // PrefixSet: a set of CIDR prefixes with containment queries, built on
 // PrefixTrie<monostate>. Also provides a deliberately naive linear-scan
 // implementation used as the oracle in property-based tests.
+//
+// Test-side support code (tests/support, linked into trie_test and
+// micro_substrates): the library classifies routes with a sorted sweep
+// and has no use for it.
 #pragma once
 
 #include <optional>

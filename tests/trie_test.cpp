@@ -1,9 +1,9 @@
-// Tests for trie/prefix_trie and trie/prefix_set: exact operations plus a
-// randomized property sweep against the linear-scan oracle.
-#include "trie/prefix_set.hpp"
-#include "trie/prefix_trie.hpp"
-
+// Tests for trie/prefix_trie and the test-side PrefixSet: exact operations
+// plus a randomized property sweep against the linear-scan oracle.
 #include <gtest/gtest.h>
+
+#include "support/prefix_set.hpp"
+#include "trie/prefix_trie.hpp"
 
 #include "util/rng.hpp"
 

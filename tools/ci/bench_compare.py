@@ -12,11 +12,15 @@ baselines.
 Headline metrics (direction-aware):
   micro_lpm       lpm_lookups_per_sec, lpm_batch_lookups_per_sec,
                   lpm_simd_lookups_per_sec (higher is better; the simd
-                  key appears only when the AVX2 kernel ran)
+                  key appears only when the AVX2 kernel ran) and
+                  lpm_build_ms (lower is better)
   micro_lpm6      lpm6_lookups_per_sec, lpm6_batch_lookups_per_sec,
-                  lpm6_simd_lookups_per_sec (higher is better)
+                  lpm6_simd_lookups_per_sec (higher is better) and
+                  lpm6_build_ms (lower is better)
   micro_delta     delta_ms per churn rate (lower is better)
-  micro_coldstart load_ms (lower is better), speedup (higher is better)
+  micro_coldstart build_ms and load_ms (lower is better). Not the
+                  rebuild/load `speedup` ratio: a faster rebuild lowers
+                  it, so it would flag a build-side gain as a regression.
   micro_serve     qps_per_core (higher is better), p99_us and
                   swap_p99_us (lower is better)
   micro_stream    updates_per_sec_sustained (higher is better),
@@ -120,21 +124,24 @@ def headline_metrics(record):
                     "lpm_simd_lookups_per_sec"):
             if key in record:
                 yield key, float(record[key]), True
+        if "lpm_build_ms" in record:
+            yield "lpm_build_ms", float(record["lpm_build_ms"]), False
     elif bench == "micro_lpm6":
         for key in ("lpm6_lookups_per_sec", "lpm6_batch_lookups_per_sec",
                     "lpm6_simd_lookups_per_sec"):
             if key in record:
                 yield key, float(record[key]), True
+        if "lpm6_build_ms" in record:
+            yield "lpm6_build_ms", float(record["lpm6_build_ms"]), False
     elif bench == "micro_delta":
         for rate in record.get("rates", []):
             if "delta_ms" in rate:
                 yield (f"delta_ms@churn={rate.get('churn')}",
                        float(rate["delta_ms"]), False)
     elif bench == "micro_coldstart":
-        if "load_ms" in record:
-            yield "load_ms", float(record["load_ms"]), False
-        if "speedup" in record:
-            yield "speedup", float(record["speedup"]), True
+        for key in ("build_ms", "load_ms"):
+            if key in record:
+                yield key, float(record[key]), False
     elif bench == "micro_serve":
         if "qps_per_core" in record:
             yield "qps_per_core", float(record["qps_per_core"]), True
